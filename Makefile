@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race bench bench-baseline sim-scale-baseline check
+.PHONY: build vet lint test race bench golden bench-baseline sim-scale-baseline check
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,12 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
+# Result-drift gate: the deterministic experiments must reproduce their
+# committed renderings exactly. fig13-17 and fig14-18 pin the
+# characterization's class centroids and short/long split.
+golden:
+	$(GO) run ./cmd/harmony-bench -exp fig1,fig9,fig10-12,fig13-17,fig14-18 -golden check -golden-dir cmd/harmony-bench/testdata/golden
+
 # Re-measure the control-path micro-benchmarks and overwrite the tracked
 # baseline (BENCH_control_path.json). Run on a quiet machine and commit
 # the result whenever the control path changes materially.
@@ -39,4 +45,4 @@ bench-baseline:
 sim-scale-baseline:
 	$(GO) run ./cmd/harmony-bench -simscale-json BENCH_sim_scale.json -hours 13 -rate 10.1 -scale 1
 
-check: build lint race bench
+check: build lint race bench golden

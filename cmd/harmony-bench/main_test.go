@@ -283,13 +283,15 @@ func TestProfileFlags(t *testing.T) {
 }
 
 // TestCommittedGoldens guards the repository's own golden files: the fast
-// deterministic experiments must reproduce them exactly.
+// deterministic experiments must reproduce them exactly. fig13-17 (class
+// centroids) and fig14-18 (short/long split) pin the characterization's
+// output itself, not only its class sizes.
 func TestCommittedGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping experiment regeneration in -short mode")
 	}
 	var b strings.Builder
-	if err := run([]string{"-exp", "fig1,fig9,fig10-12", "-golden", "check"}, &b); err != nil {
+	if err := run([]string{"-exp", "fig1,fig9,fig10-12,fig13-17,fig14-18", "-golden", "check"}, &b); err != nil {
 		t.Fatalf("committed goldens stale: %v\n%s", err, b.String())
 	}
 }

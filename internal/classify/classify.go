@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"harmony/internal/fanout"
 	"harmony/internal/kmeans"
 	"harmony/internal/stats"
 	"harmony/internal/trace"
@@ -112,35 +113,43 @@ func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 		return nil, ErrNoTasks
 	}
 
-	ch := &Characterization{}
-	for _, g := range trace.Groups() {
-		var (
-			pts   []kmeans.Point
-			tasks []*trace.Task
-		)
-		for i := range tr.Tasks {
-			t := &tr.Tasks[i]
-			if t.Group() != g {
-				continue
-			}
-			pts = append(pts, kmeans.Point{math.Log(t.CPU), math.Log(t.Mem)})
-			tasks = append(tasks, t)
-		}
-		if len(pts) == 0 {
-			continue
+	// Step one per group: the groups' ChooseK runs are independent, so
+	// they run concurrently into per-group slots; classes are then
+	// appended in group order, exactly as a serial pass would.
+	groups := trace.Groups()
+	pts := make([][]kmeans.Point, len(groups))
+	tasks := make([][]*trace.Task, len(groups))
+	for i := range tr.Tasks {
+		t := &tr.Tasks[i]
+		g := t.Group().Index()
+		pts[g] = append(pts[g], kmeans.Point{math.Log(t.CPU), math.Log(t.Mem)})
+		tasks[g] = append(tasks[g], t)
+	}
+	results := make([]*kmeans.Result, len(groups))
+	errs := make([]error, len(groups))
+	fanout.Each(len(groups), func(gi int) {
+		if len(pts[gi]) == 0 {
+			return
 		}
 		maxK := cfg.MaxK
-		if maxK > len(pts) {
-			maxK = len(pts)
+		if maxK > len(pts[gi]) {
+			maxK = len(pts[gi])
 		}
-		_, res, err := kmeans.ChooseK(pts, maxK, cfg.MinGain, kmeans.Config{
-			Seed:     cfg.Seed + int64(g),
+		_, results[gi], errs[gi] = kmeans.ChooseK(pts[gi], maxK, cfg.MinGain, kmeans.Config{
+			Seed:     cfg.Seed + int64(groups[gi]),
 			Restarts: cfg.Restarts,
 		})
-		if err != nil {
-			return nil, fmt.Errorf("classify: step one for %v: %w", g, err)
+	})
+
+	ch := &Characterization{}
+	for gi, g := range groups {
+		if errs[gi] != nil {
+			return nil, fmt.Errorf("classify: step one for %v: %w", g, errs[gi])
 		}
-		if err := ch.addGroupClasses(g, res, pts, tasks, cfg); err != nil {
+		if results[gi] == nil {
+			continue
+		}
+		if err := ch.addGroupClasses(g, results[gi], tasks[gi], cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -153,7 +162,6 @@ func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 func (ch *Characterization) addGroupClasses(
 	g trace.PriorityGroup,
 	res *kmeans.Result,
-	pts []kmeans.Point,
 	tasks []*trace.Task,
 	cfg Config,
 ) error {
@@ -201,7 +209,6 @@ func (ch *Characterization) addGroupClasses(
 		ch.byGroup[g.Index()] = append(ch.byGroup[g.Index()], cls.ID)
 		ch.Classes = append(ch.Classes, cls)
 	}
-	_ = pts
 	return nil
 }
 

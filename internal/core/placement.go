@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"harmony/internal/binpack"
+	"harmony/internal/fanout"
 )
 
 // typePacking is the CBS rounding result for one machine type. Machine
@@ -147,39 +145,15 @@ func (c *Controller) packType(plan *Plan, m int) typePacking {
 }
 
 // packInto packs the listed machine types into their slots of parts,
-// fanning the per-type packings out across workers with the same
-// deterministic-reduce recipe as sim's sharded machine audit: work is
-// claimed from an atomic counter, each result lands in its own pre-sized
-// slot, and the caller merges slots in type order — the decision is
-// bit-identical to the serial pass at any GOMAXPROCS.
+// fanning the per-type packings out across workers (fanout.Each): each
+// result lands in its own pre-sized slot and the caller merges slots in
+// type order, so the decision is bit-identical to the serial pass at any
+// GOMAXPROCS.
 func (c *Controller) packInto(plan *Plan, types []int, parts []typePacking) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(types) {
-		workers = len(types)
-	}
-	if workers <= 1 {
-		for _, m := range types {
-			parts[m] = c.packType(plan, m)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(types) {
-					return
-				}
-				m := types[i]
-				parts[m] = c.packType(plan, m)
-			}
-		}()
-	}
-	wg.Wait()
+	fanout.Each(len(types), func(i int) {
+		m := types[i]
+		parts[m] = c.packType(plan, m)
+	})
 }
 
 // roundCBS realizes period 0 with First-Fit packing per machine type,

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"harmony/internal/fanout"
 	"harmony/internal/stats"
 )
 
@@ -63,11 +64,21 @@ func Run(points []Point, cfg Config) (*Result, error) {
 		cfg.Restarts = 1
 	}
 
+	// Every restart's seeds come from the one RNG in restart order (Lloyd
+	// draws nothing), then the Lloyd passes run concurrently into their
+	// own slots and the best is kept by strict < in restart order.
 	r := stats.NewRNG(cfg.Seed)
-	var best *Result
-	for attempt := 0; attempt < cfg.Restarts; attempt++ {
-		res := lloyd(points, seedPlusPlus(points, cfg.K, r), cfg.MaxIter)
-		if best == nil || res.SSE < best.SSE {
+	seeds := make([][]Point, cfg.Restarts)
+	for a := range seeds {
+		seeds[a] = seedPlusPlus(points, cfg.K, r)
+	}
+	results := make([]*Result, cfg.Restarts)
+	fanout.Each(cfg.Restarts, func(a int) {
+		results[a] = lloyd(points, seeds[a], cfg.MaxIter)
+	})
+	best := results[0]
+	for _, res := range results[1:] {
+		if res.SSE < best.SSE {
 			best = res
 		}
 	}
@@ -118,67 +129,199 @@ func seedPlusPlus(points []Point, k int, r *stats.RNG) []Point {
 	return centroids
 }
 
-// lloyd runs standard Lloyd iterations to convergence or maxIter.
+// Bound margins for lloyd. boundSlack rounds every bound outward after
+// each floating-point step: it is far above the few-ulp error of one
+// sqrt, add or multiply, so upper bounds stay ≥ and lower bounds stay ≤
+// the exact distances they bound. skipMargin is how much nearer, in
+// relative terms, the assigned centroid must provably be before a point
+// may skip the scan: far above sqDist's rounding error, so a skipped
+// point is one whose full scan could only have returned the centroid it
+// already has.
+const (
+	boundSlack = 1e-12
+	skipMargin = 1e-9
+)
+
+// lloyd runs Lloyd iterations to convergence or maxIter with Hamerly's
+// bound pruning ("Making k-means even faster", SDM 2010): a point whose
+// bounds prove it is still nearest to its centroid skips the scan, and
+// every other point is scanned in full with the plain strict-<,
+// lowest-index rule. Assignments, centroids, SSE and Iterations are
+// therefore bit-identical to plain Lloyd's: the centroid update is the
+// same in-order summation, and empty clusters keep their position.
 func lloyd(points []Point, centroids []Point, maxIter int) *Result {
-	k := len(centroids)
-	dim := len(points[0])
-	assign := make([]int, len(points))
-	for i := range assign {
-		assign[i] = -1
+	n, k, dim := len(points), len(centroids), len(points[0])
+	h := &hamerly{
+		assign: make([]int, n),
+		upper:  make([]float64, n),
+		lower:  make([]float64, n),
+		half:   make([]float64, k),
+		moved:  make([]float64, k),
+		sums:   make([]float64, k*dim),
+		counts: make([]int, k),
 	}
 
 	iter := 0
 	for ; iter < maxIter; iter++ {
-		changed := false
-		for i, p := range points {
-			bestC, bestD := 0, math.Inf(1)
-			for c, cen := range centroids {
-				if d := sqDist(p, cen); d < bestD {
-					bestC, bestD = c, d
-				}
-			}
-			if assign[i] != bestC {
-				assign[i] = bestC
-				changed = true
-			}
-		}
-		if !changed {
+		// Plain Lloyd starts unassigned, so its first iteration scans
+		// every point and always changes something.
+		clear(h.sums)
+		clear(h.counts)
+		if iter == 0 {
+			h.scanAll(points, centroids)
+		} else if !h.reassign(points, centroids) {
 			break
 		}
-		// Recompute centroids; empty clusters keep their position.
-		sums := make([][]float64, k)
-		counts := make([]int, k)
-		for c := range sums {
-			sums[c] = make([]float64, dim)
-		}
-		for i, p := range points {
-			c := assign[i]
-			counts[c]++
-			for d := 0; d < dim; d++ {
-				sums[c][d] += p[d]
-			}
-		}
-		for c := 0; c < k; c++ {
-			if counts[c] == 0 {
-				continue
-			}
-			for d := 0; d < dim; d++ {
-				centroids[c][d] = sums[c][d] / float64(counts[c])
-			}
-		}
+		h.update(centroids)
 	}
 
 	sse := 0.0
 	for i, p := range points {
-		sse += sqDist(p, centroids[assign[i]])
+		sse += sqDist(p, centroids[h.assign[i]])
 	}
 	return &Result{
 		Centroids:  centroids,
-		Assignment: assign,
+		Assignment: h.assign,
 		SSE:        sse,
 		Iterations: iter,
 	}
 }
+
+// hamerly is lloyd's state. For point i assigned to centroid a,
+// upper[i] ≥ d(x_i, a) and lower[i] ≤ d(x_i, c) for every c ≠ a; for
+// centroid c, half[c] ≤ half the distance to its nearest other centroid
+// and moved[c] ≥ the distance it moved in the last update. sums and
+// counts are the member sums of the assignment pass in progress.
+type hamerly struct {
+	assign       []int
+	upper, lower []float64
+	half, moved  []float64
+	sums         []float64 // k×dim, row c is cluster c
+	counts       []int
+}
+
+// scanAll assigns every point by full scan and sets its bounds exactly.
+func (h *hamerly) scanAll(points, centroids []Point) {
+	for i, p := range points {
+		c, d1, d2 := nearestTwo(p, centroids)
+		h.assign[i] = c
+		h.upper[i] = roundUp(math.Sqrt(d1))
+		h.lower[i] = roundDown(math.Sqrt(d2))
+		h.accumulate(c, p)
+	}
+}
+
+// reassign runs one pruned assignment pass: each point's bounds first
+// absorb the last centroid moves, and only points whose bounds cannot
+// prove their assignment are rescanned. It reports whether any
+// assignment changed.
+func (h *hamerly) reassign(points, centroids []Point) bool {
+	assign, upper, lower, half := h.assign, h.upper, h.lower, h.half
+	for c, cen := range centroids {
+		nearest := math.Inf(1)
+		for o, other := range centroids {
+			if o != c {
+				if d := sqDist(cen, other); d < nearest {
+					nearest = d
+				}
+			}
+		}
+		half[c] = roundDown(math.Sqrt(nearest) / 2)
+	}
+	// A point's lower bound loses the largest move among the other
+	// centroids: the second-largest for members of the farthest mover.
+	far, farMove, secondMove := 0, 0.0, 0.0
+	for c, m := range h.moved {
+		if m > farMove {
+			far, farMove, secondMove = c, m, farMove
+		} else if m > secondMove {
+			secondMove = m
+		}
+	}
+
+	changed := false
+	for i, p := range points {
+		a := assign[i]
+		upper[i] = roundUp(upper[i] + h.moved[a])
+		drop := farMove
+		if a == far {
+			drop = secondMove
+		}
+		lower[i] = roundDown(lower[i] - drop)
+
+		bound := half[a]
+		if lower[i] > bound {
+			bound = lower[i]
+		}
+		if upper[i]*(1+skipMargin) >= bound {
+			// Tighten the upper bound to the exact distance and retry.
+			upper[i] = roundUp(math.Sqrt(sqDist(p, centroids[a])))
+			if upper[i]*(1+skipMargin) >= bound {
+				c, d1, d2 := nearestTwo(p, centroids)
+				upper[i] = roundUp(math.Sqrt(d1))
+				lower[i] = roundDown(math.Sqrt(d2))
+				if c != a {
+					assign[i], a = c, c
+					changed = true
+				}
+			}
+		}
+		h.accumulate(a, p)
+	}
+	return changed
+}
+
+// accumulate adds p to cluster c's member sum. The assignment passes
+// call it in point order, so each sum is the plain update's summation.
+func (h *hamerly) accumulate(c int, p Point) {
+	h.counts[c]++
+	row := h.sums[c*len(p):][:len(p)]
+	for d, v := range p {
+		row[d] += v
+	}
+}
+
+// update moves every non-empty cluster's centroid to its members' mean
+// and records how far it moved; empty clusters keep their position.
+func (h *hamerly) update(centroids []Point) {
+	for c, cen := range centroids {
+		h.moved[c] = 0
+		if h.counts[c] == 0 {
+			continue
+		}
+		row := h.sums[c*len(cen):][:len(cen)]
+		shift := 0.0
+		for d := range cen {
+			v := row[d] / float64(h.counts[c])
+			diff := v - cen[d]
+			shift += diff * diff
+			cen[d] = v
+		}
+		h.moved[c] = roundUp(math.Sqrt(shift))
+	}
+}
+
+// nearestTwo scans every centroid and returns the nearest one by the
+// plain rule (strict <, so the lowest index wins a tie) with its squared
+// distance, and the second-smallest squared distance (+Inf when k = 1).
+func nearestTwo(p Point, centroids []Point) (best int, d1, d2 float64) {
+	best, d1, d2 = 0, math.Inf(1), math.Inf(1)
+	for c, cen := range centroids {
+		d := sqDist(p, cen)
+		if d < d1 {
+			best, d1, d2 = c, d, d1
+		} else if d < d2 {
+			d2 = d
+		}
+	}
+	return best, d1, d2
+}
+
+// roundUp and roundDown widen a computed bound by boundSlack so that it
+// stays a bound despite the rounding error of the step that produced it.
+// A negative lower bound stays negative, so it never lets a point skip.
+func roundUp(v float64) float64   { return v * (1 + boundSlack) }
+func roundDown(v float64) float64 { return v * (1 - boundSlack) }
 
 // Nearest returns the index of the centroid closest (Euclidean) to p and
 // the distance to it. It returns (-1, +Inf) when centroids is empty.

@@ -1,10 +1,15 @@
 package kmeans
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"harmony/internal/energy"
+	"harmony/internal/stats"
+	"harmony/internal/trace"
 )
 
 // threeBlobs returns well-separated gaussian blobs around the given centers.
@@ -237,5 +242,331 @@ func TestSilhouetteDegenerate(t *testing.T) {
 	var empty Result
 	if s := empty.Silhouette(nil); s != 0 {
 		t.Errorf("empty silhouette = %v", s)
+	}
+}
+
+// oracleLloyd is the plain Lloyd loop the pruned lloyd replaced, kept
+// verbatim as the reference it must match bit for bit: every point
+// rescans every centroid each iteration.
+func oracleLloyd(points []Point, centroids []Point, maxIter int) *Result {
+	k := len(centroids)
+	dim := len(points[0])
+	assign := make([]int, len(points))
+	for i := range assign {
+		assign[i] = -1
+	}
+
+	iter := 0
+	for ; iter < maxIter; iter++ {
+		changed := false
+		for i, p := range points {
+			bestC, bestD := 0, math.Inf(1)
+			for c, cen := range centroids {
+				if d := sqDist(p, cen); d < bestD {
+					bestC, bestD = c, d
+				}
+			}
+			if assign[i] != bestC {
+				assign[i] = bestC
+				changed = true
+			}
+		}
+		if !changed {
+			break
+		}
+		// Recompute centroids; empty clusters keep their position.
+		sums := make([][]float64, k)
+		counts := make([]int, k)
+		for c := range sums {
+			sums[c] = make([]float64, dim)
+		}
+		for i, p := range points {
+			c := assign[i]
+			counts[c]++
+			for d := 0; d < dim; d++ {
+				sums[c][d] += p[d]
+			}
+		}
+		for c := 0; c < k; c++ {
+			if counts[c] == 0 {
+				continue
+			}
+			for d := 0; d < dim; d++ {
+				centroids[c][d] = sums[c][d] / float64(counts[c])
+			}
+		}
+	}
+
+	sse := 0.0
+	for i, p := range points {
+		sse += sqDist(p, centroids[assign[i]])
+	}
+	return &Result{
+		Centroids:  centroids,
+		Assignment: assign,
+		SSE:        sse,
+		Iterations: iter,
+	}
+}
+
+// oracleRun is Run as it was before pruning and concurrency: restarts
+// run one after another, each seeded and then iterated by oracleLloyd.
+func oracleRun(points []Point, cfg Config) *Result {
+	if cfg.MaxIter <= 0 {
+		cfg.MaxIter = 100
+	}
+	if cfg.Restarts <= 0 {
+		cfg.Restarts = 1
+	}
+	r := stats.NewRNG(cfg.Seed)
+	var best *Result
+	for attempt := 0; attempt < cfg.Restarts; attempt++ {
+		res := oracleLloyd(points, seedPlusPlus(points, cfg.K, r), cfg.MaxIter)
+		if best == nil || res.SSE < best.SSE {
+			best = res
+		}
+	}
+	return best
+}
+
+// oracleChooseK is ChooseK's elbow rule over oracleRun.
+func oracleChooseK(points []Point, maxK int, minGain float64, cfg Config) (int, *Result) {
+	if maxK > len(points) {
+		maxK = len(points)
+	}
+	var (
+		prevSSE float64
+		prevRes *Result
+	)
+	for k := 1; k <= maxK; k++ {
+		c := cfg
+		c.K = k
+		res := oracleRun(points, c)
+		if k > 1 {
+			gain := 0.0
+			if prevSSE > 0 {
+				gain = (prevSSE - res.SSE) / prevSSE
+			}
+			if gain < minGain {
+				return k - 1, prevRes
+			}
+		}
+		prevSSE, prevRes = res.SSE, res
+	}
+	return maxK, prevRes
+}
+
+// sameResult reports the first difference between two results, compared
+// bit for bit; "" means identical.
+func sameResult(got, want *Result) string {
+	if got.Iterations != want.Iterations {
+		return fmt.Sprintf("iterations %d, oracle %d", got.Iterations, want.Iterations)
+	}
+	if math.Float64bits(got.SSE) != math.Float64bits(want.SSE) {
+		return fmt.Sprintf("SSE %v, oracle %v", got.SSE, want.SSE)
+	}
+	for i := range want.Assignment {
+		if got.Assignment[i] != want.Assignment[i] {
+			return fmt.Sprintf("point %d assigned %d, oracle %d", i, got.Assignment[i], want.Assignment[i])
+		}
+	}
+	if len(got.Centroids) != len(want.Centroids) {
+		return fmt.Sprintf("%d centroids, oracle %d", len(got.Centroids), len(want.Centroids))
+	}
+	for c := range want.Centroids {
+		for d := range want.Centroids[c] {
+			if math.Float64bits(got.Centroids[c][d]) != math.Float64bits(want.Centroids[c][d]) {
+				return fmt.Sprintf("centroid %d = %v, oracle %v", c, got.Centroids[c], want.Centroids[c])
+			}
+		}
+	}
+	return ""
+}
+
+func clonePoints(ps []Point) []Point {
+	out := make([]Point, len(ps))
+	for i, p := range ps {
+		out[i] = clonePoint(p)
+	}
+	return out
+}
+
+// randomPoints draws n points of the given dimension. With grid > 0 the
+// coordinates are integers in [0, grid), so duplicate points and points
+// exactly equidistant from two centroids are common; otherwise they are
+// continuous in [0, 10).
+func randomPoints(r *rand.Rand, n, dim, grid int) []Point {
+	pts := make([]Point, n)
+	for i := range pts {
+		p := make(Point, dim)
+		for d := range p {
+			if grid > 0 {
+				p[d] = float64(r.Intn(grid))
+			} else {
+				p[d] = 10 * r.Float64()
+			}
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+// Property: the pruned lloyd equals the plain oracle bit for bit —
+// assignments, centroids, SSE and Iterations — from the same starting
+// centroids, over 1-D and 2-D inputs, every k from 1 to n, duplicate
+// points, exact ties, and starts that leave a cluster empty mid-run.
+func TestLloydMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(20))
+	emptied := 0
+	for trial := 0; trial < 400; trial++ {
+		dim := 1 + trial%2
+		grid := []int{0, 3, 6, 20}[trial%4]
+		n := 1 + r.Intn(40)
+		pts := randomPoints(r, n, dim, grid)
+		for k := 1; k <= n; k++ {
+			// Starting centroids: k of the points (as k-means++ picks
+			// them, duplicates included) or, every third k, arbitrary
+			// positions that may start or end with an empty cluster.
+			start := make([]Point, k)
+			for c := range start {
+				if k%3 == 0 {
+					start[c] = randomPoints(r, 1, dim, grid)[0]
+				} else {
+					start[c] = clonePoint(pts[r.Intn(n)])
+				}
+			}
+			maxIter := 1 + r.Intn(30)
+			want := oracleLloyd(pts, clonePoints(start), maxIter)
+			got := lloyd(pts, clonePoints(start), maxIter)
+			if diff := sameResult(got, want); diff != "" {
+				t.Fatalf("trial %d (n=%d dim=%d grid=%d k=%d maxIter=%d): %s",
+					trial, n, dim, grid, k, maxIter, diff)
+			}
+			if clusterEmptiedMidRun(pts, start, want) {
+				emptied++
+			}
+		}
+	}
+	if emptied == 0 {
+		t.Error("no trial emptied a cluster mid-run; the corpus does not cover that case")
+	}
+}
+
+// clusterEmptiedMidRun reports whether some cluster that had members
+// under the starting centroids has none in the final result.
+func clusterEmptiedMidRun(pts, start []Point, res *Result) bool {
+	had := make([]bool, len(start))
+	for _, p := range pts {
+		c, _ := Nearest(start, p)
+		had[c] = true
+	}
+	for c, size := range res.ClusterSizes() {
+		if had[c] && size == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Points exactly halfway between two centroids go to the lower index,
+// as in the plain scan, through every iteration.
+func TestLloydEquidistantTies(t *testing.T) {
+	pts := []Point{{0}, {1}, {2}, {3}, {4}, {1}, {3}, {2}, {2}}
+	for _, start := range [][]Point{
+		{{0}, {2}, {4}},
+		{{4}, {2}, {0}},
+		{{1}, {3}},
+		{{3}, {1}},
+		{{2}, {2}, {2}},
+	} {
+		want := oracleLloyd(pts, clonePoints(start), 50)
+		got := lloyd(pts, clonePoints(start), 50)
+		if diff := sameResult(got, want); diff != "" {
+			t.Errorf("start %v: %s", start, diff)
+		}
+	}
+}
+
+// Property: Run and ChooseK, with their seeding and concurrent restarts,
+// equal the serial oracle bit for bit on random inputs.
+func TestRunAndChooseKMatchOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 60; trial++ {
+		dim := 1 + trial%2
+		grid := []int{0, 4, 12}[trial%3]
+		n := 2 + r.Intn(200)
+		pts := randomPoints(r, n, dim, grid)
+		cfg := Config{Seed: int64(trial), Restarts: 1 + r.Intn(5), MaxIter: 1 + r.Intn(60)}
+
+		run := cfg
+		run.K = 1 + r.Intn(n)
+		got, err := Run(pts, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameResult(got, oracleRun(pts, run)); diff != "" {
+			t.Fatalf("trial %d Run(n=%d k=%d): %s", trial, n, run.K, diff)
+		}
+
+		maxK := 1 + r.Intn(12)
+		k, res, err := ChooseK(pts, maxK, 0.05, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantK, want := oracleChooseK(pts, maxK, 0.05, cfg)
+		if k != wantK {
+			t.Fatalf("trial %d ChooseK = %d, oracle %d", trial, k, wantK)
+		}
+		if diff := sameResult(res, want); diff != "" {
+			t.Fatalf("trial %d ChooseK(k=%d): %s", trial, k, diff)
+		}
+	}
+}
+
+// headlineGroups generates the paper's headline workload (12 h at 1.6
+// tasks/s against Table II / 20, seed 42) and returns each priority
+// group's (log CPU, log Mem) points, the input characterization clusters.
+func headlineGroups(t testing.TB) [trace.NumGroups][]Point {
+	t.Helper()
+	machines := energy.TableIIMachineTypes()
+	for i := range machines {
+		machines[i].Count = max(machines[i].Count/20, 1)
+	}
+	cfg := trace.DefaultConfig(42)
+	cfg.Horizon = 12 * trace.Hour
+	cfg.RatePerS = 1.6
+	cfg.Machines = machines
+	tr, err := trace.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var groups [trace.NumGroups][]Point
+	for _, task := range tr.Tasks {
+		g := task.Group().Index()
+		groups[g] = append(groups[g], Point{math.Log(task.CPU), math.Log(task.Mem)})
+	}
+	return groups
+}
+
+// The real inputs: each priority group of the headline trace, clustered
+// with the characterization's settings (k up to 12, 5% elbow, 4
+// restarts), equals the oracle bit for bit.
+func TestChooseKMatchesOracleOnHeadlineGroups(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping the headline-trace oracle run in -short mode")
+	}
+	for g, pts := range headlineGroups(t) {
+		cfg := Config{Seed: 42 + int64(trace.Groups()[g]), Restarts: 4}
+		k, res, err := ChooseK(pts, 12, 0.05, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantK, want := oracleChooseK(pts, 12, 0.05, cfg)
+		if k != wantK {
+			t.Fatalf("group %d (%d points): ChooseK = %d, oracle %d", g, len(pts), k, wantK)
+		}
+		if diff := sameResult(res, want); diff != "" {
+			t.Fatalf("group %d (%d points): %s", g, len(pts), diff)
+		}
 	}
 }

@@ -181,11 +181,11 @@ func TestScopes(t *testing.T) {
 			t.Errorf("%s.Packages(%q) = %v, want %v", c.az.Name, c.pkg, got, c.applies)
 		}
 	}
-	if !DeferClose.Files("harmony/internal/sim", "/x/parallel.go") {
-		t.Error("deferclose should cover internal/sim/parallel.go")
+	if !DeferClose.Packages("harmony/internal/fanout") || !DeferClose.Files("harmony/internal/fanout", "/x/fanout.go") {
+		t.Error("deferclose should cover internal/fanout/fanout.go")
 	}
-	if DeferClose.Files("harmony/internal/sim", "/x/sim.go") {
-		t.Error("deferclose should not cover internal/sim/sim.go")
+	if DeferClose.Packages("harmony/internal/sim") || DeferClose.Packages("harmony/internal/core") {
+		t.Error("deferclose should not cover sim or core: their fan-outs go through internal/fanout")
 	}
 	// Module analyzers scope themselves.
 	for _, c := range []struct {
@@ -195,9 +195,10 @@ func TestScopes(t *testing.T) {
 		{"harmony/internal/daemon", "/x/engine.go", true},
 		{"harmony", "/x/parallel.go", true},
 		{"harmony", "/x/harmony.go", false},
-		{"harmony/internal/sim", "/x/parallel.go", true},
+		{"harmony/internal/fanout", "/x/fanout.go", true},
+		{"harmony/internal/sim", "/x/parallel.go", false},
 		{"harmony/internal/sim", "/x/sim.go", false},
-		{"harmony/internal/core", "/x/placement.go", true},
+		{"harmony/internal/core", "/x/placement.go", false},
 		{"harmony/internal/core", "/x/relax.go", false},
 		{"harmony/internal/stats", "/x/rng.go", false},
 	} {

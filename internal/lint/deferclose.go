@@ -38,7 +38,7 @@ var DeferClose = &Analyzer{
 	Packages: func(pkgPath string) bool {
 		switch pkgPath {
 		case "harmony", "harmony/internal/daemon", "harmony/internal/tenant",
-			"harmony/internal/metrics", "harmony/internal/sim", "harmony/internal/core",
+			"harmony/internal/metrics", "harmony/internal/fanout",
 			"harmony/cmd/harmonyd":
 			return true
 		}
@@ -52,10 +52,6 @@ var DeferClose = &Analyzer{
 		switch pkgPath {
 		case "harmony":
 			return base == "parallel.go"
-		case "harmony/internal/sim":
-			return base == "parallel.go"
-		case "harmony/internal/core":
-			return base == "placement.go"
 		}
 		return true
 	},

@@ -8,14 +8,13 @@ import (
 )
 
 // GoLeak requires every goroutine spawned in the concurrent subsystems —
-// the daemon, the parallel fan-out helpers, and the parallel placement
-// pass — to have a provable termination/join path: somewhere reachable
-// in the spawned function (following call and defer edges through the
-// module) there must be a sync.WaitGroup.Done, a send on a collector
-// channel (the errgroup shape), or a receive/select on a cancellation
-// channel. A goroutine with none of these can outlive every tick and
-// leak; in the daemon that is memory growth and a shutdown that never
-// drains.
+// the daemon, the tenant layer, and the fan-out helpers — to have a
+// provable termination/join path: somewhere reachable in the spawned
+// function (following call and defer edges through the module) there
+// must be a sync.WaitGroup.Done, a send on a collector channel (the
+// errgroup shape), or a receive/select on a cancellation channel. A
+// goroutine with none of these can outlive every tick and leak; in the
+// daemon that is memory growth and a shutdown that never drains.
 //
 // Nested go statements do not count as join evidence for their spawner
 // (the inner goroutine joining says nothing about the outer one), and a
@@ -24,7 +23,7 @@ import (
 var GoLeak = &Analyzer{
 	Name: "goleak",
 	Doc: "require a provable join (WaitGroup.Done, collector send, or cancellation receive) " +
-		"for every goroutine in daemon, parallel, and core placement",
+		"for every goroutine in daemon, tenant, and the fan-out helpers",
 	RunModule: runGoLeak,
 }
 
@@ -38,12 +37,10 @@ func goleakCovered(pkgPath, filename string) bool {
 		return true
 	case "harmony": // the parallel experiment fan-out
 		return base == "parallel.go"
-	case "harmony/internal/sim": // the sharded machine audit
-		return base == "parallel.go"
+	case "harmony/internal/fanout": // sim's audit, core placement, k-means restarts and groups
+		return true
 	case "harmony/internal/trace": // streaming sources are single-goroutine by contract
 		return true
-	case "harmony/internal/core": // the per-type placement fan-out
-		return base == "placement.go"
 	}
 	return strings.HasPrefix(pkgPath, "fixture/goleak")
 }

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "harmony/internal/fanout"
 
 // refreshAccounting replaces the incrementally tracked used-machine
 // count and the per-(type, shard) free-capacity pruning bounds with
@@ -21,11 +17,10 @@ import (
 // its own auditUsed slot. Nothing is merged across workers, and shard
 // boundaries depend only on the machine population — never on
 // GOMAXPROCS — so the result is bit-for-bit identical however many
-// workers ran it. Under GOMAXPROCS=1 the granules simply run in order
-// on the calling goroutine.
+// workers ran it (fanout.Each).
 func (e *engine) refreshAccounting() {
 	items := e.auditItems
-	scan := func(k int) {
+	fanout.Each(len(items), func(k int) {
 		it := &items[k]
 		mt := e.types[it.ti]
 		var maxCPU, maxMem float64
@@ -50,34 +45,7 @@ func (e *engine) refreshAccounting() {
 		e.freeCPUBound[it.ti][it.shard] = maxCPU
 		e.freeMemBound[it.ti][it.shard] = maxMem
 		e.auditUsed[k] = used
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers <= 1 {
-		for k := range items {
-			scan(k)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(items) {
-						return
-					}
-					scan(k)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 
 	used := 0
 	for _, u := range e.auditUsed {

@@ -12,6 +12,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -131,14 +132,16 @@ func (tr *Trace) SortTasks() {
 	})
 }
 
-// Validate checks internal consistency: sorted non-negative submissions,
-// positive durations, demands in (0,1], and a non-empty machine population.
+// Validate checks internal consistency: sorted, finite, non-negative
+// submissions, finite positive durations, demands in (0,1], and a
+// non-empty machine population. Every range check is written in positive
+// form so that NaN, which fails every comparison, is rejected too.
 func (tr *Trace) Validate() error {
 	if len(tr.Machines) == 0 {
 		return fmt.Errorf("trace: no machine types")
 	}
 	for _, m := range tr.Machines {
-		if m.CPU <= 0 || m.CPU > 1 || m.Mem <= 0 || m.Mem > 1 {
+		if !inUnit(m.CPU) || !inUnit(m.Mem) {
 			return fmt.Errorf("trace: machine type %d capacity out of (0,1]", m.ID)
 		}
 		if m.Count < 0 {
@@ -147,17 +150,17 @@ func (tr *Trace) Validate() error {
 	}
 	prev := -1.0
 	for i, t := range tr.Tasks {
-		if t.Submit < 0 {
-			return fmt.Errorf("trace: task %d negative submit", i)
+		if !(t.Submit >= 0 && t.Submit <= math.MaxFloat64) {
+			return fmt.Errorf("trace: task %d submit not finite and non-negative", i)
 		}
 		if t.Submit < prev {
 			return fmt.Errorf("trace: tasks not sorted at index %d", i)
 		}
 		prev = t.Submit
-		if t.Duration <= 0 {
-			return fmt.Errorf("trace: task %d non-positive duration", i)
+		if !(t.Duration > 0 && t.Duration <= math.MaxFloat64) {
+			return fmt.Errorf("trace: task %d duration not finite and positive", i)
 		}
-		if t.CPU <= 0 || t.CPU > 1 || t.Mem <= 0 || t.Mem > 1 {
+		if !inUnit(t.CPU) || !inUnit(t.Mem) {
 			return fmt.Errorf("trace: task %d demand out of (0,1]", i)
 		}
 		if t.Priority < 0 || t.Priority > 11 {
@@ -169,3 +172,6 @@ func (tr *Trace) Validate() error {
 	}
 	return nil
 }
+
+// inUnit reports whether v lies in (0,1]; NaN does not.
+func inUnit(v float64) bool { return v > 0 && v <= 1 }

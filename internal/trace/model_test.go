@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -74,6 +76,13 @@ func TestTraceValidate(t *testing.T) {
 		{"oversized task", func(tr *Trace) { tr.Tasks[0].CPU = 1.2 }},
 		{"bad priority", func(tr *Trace) { tr.Tasks[0].Priority = 12 }},
 		{"bad class", func(tr *Trace) { tr.Tasks[0].SchedClass = 4 }},
+		{"NaN cpu", func(tr *Trace) { tr.Tasks[0].CPU = math.NaN() }},
+		{"NaN mem", func(tr *Trace) { tr.Tasks[1].Mem = math.NaN() }},
+		{"NaN submit", func(tr *Trace) { tr.Tasks[1].Submit = math.NaN() }},
+		{"+Inf submit", func(tr *Trace) { tr.Tasks[1].Submit = math.Inf(1) }},
+		{"NaN duration", func(tr *Trace) { tr.Tasks[0].Duration = math.NaN() }},
+		{"+Inf duration", func(tr *Trace) { tr.Tasks[0].Duration = math.Inf(1) }},
+		{"NaN machine cap", func(tr *Trace) { tr.Machines[0].Mem = math.NaN() }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -88,6 +97,45 @@ func TestTraceValidate(t *testing.T) {
 			tt.mutate(bad)
 			if err := bad.Validate(); err == nil {
 				t.Error("invalid trace accepted")
+			}
+		})
+	}
+}
+
+// TestValidateRejectsNonFiniteAfterCSV is the regression for non-finite
+// task fields: CSV carries NaN and ±Inf through a round trip unchanged,
+// so Validate is the only gate before k-means takes their logarithm.
+func TestValidateRejectsNonFiniteAfterCSV(t *testing.T) {
+	tests := []struct {
+		name   string
+		mutate func(*Trace)
+	}{
+		{"NaN cpu", func(tr *Trace) { tr.Tasks[0].CPU = math.NaN() }},
+		{"NaN mem", func(tr *Trace) { tr.Tasks[1].Mem = math.NaN() }},
+		{"NaN submit", func(tr *Trace) { tr.Tasks[2].Submit = math.NaN() }},
+		{"+Inf submit", func(tr *Trace) { tr.Tasks[2].Submit = math.Inf(1) }},
+		{"NaN duration", func(tr *Trace) { tr.Tasks[1].Duration = math.NaN() }},
+		{"+Inf duration", func(tr *Trace) { tr.Tasks[1].Duration = math.Inf(1) }},
+		{"-Inf duration", func(tr *Trace) { tr.Tasks[1].Duration = math.Inf(-1) }},
+		{"NaN cpu and +Inf duration", func(tr *Trace) {
+			tr.Tasks[0].CPU = math.NaN()
+			tr.Tasks[2].Duration = math.Inf(1)
+		}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			tr := tinyTrace()
+			tt.mutate(tr)
+			var buf bytes.Buffer
+			if err := WriteCSV(&buf, tr); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadCSV(&buf, tr.Machines, tr.Horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Validate(); err == nil {
+				t.Error("non-finite task field survived the CSV round trip and Validate")
 			}
 		})
 	}
