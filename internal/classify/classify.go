@@ -113,9 +113,10 @@ func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 		return nil, ErrNoTasks
 	}
 
-	// Step one per group: the groups' ChooseK runs are independent, so
-	// they run concurrently into per-group slots; classes are then
-	// appended in group order, exactly as a serial pass would.
+	// Each group's step one and step two are independent of the other
+	// groups', so they run concurrently into per-group slots; class IDs
+	// are then assigned as the classes are appended in group order,
+	// exactly as a serial pass would.
 	groups := trace.Groups()
 	pts := make([][]kmeans.Point, len(groups))
 	tasks := make([][]*trace.Task, len(groups))
@@ -125,7 +126,7 @@ func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 		pts[g] = append(pts[g], kmeans.Point{math.Log(t.CPU), math.Log(t.Mem)})
 		tasks[g] = append(tasks[g], t)
 	}
-	results := make([]*kmeans.Result, len(groups))
+	classes := make([][]Class, len(groups))
 	errs := make([]error, len(groups))
 	fanout.Each(len(groups), func(gi int) {
 		if len(pts[gi]) == 0 {
@@ -135,22 +136,26 @@ func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 		if maxK > len(pts[gi]) {
 			maxK = len(pts[gi])
 		}
-		_, results[gi], errs[gi] = kmeans.ChooseK(pts[gi], maxK, cfg.MinGain, kmeans.Config{
+		_, res, err := kmeans.ChooseK(pts[gi], maxK, cfg.MinGain, kmeans.Config{
 			Seed:     cfg.Seed + int64(groups[gi]),
 			Restarts: cfg.Restarts,
 		})
+		if err != nil {
+			errs[gi] = fmt.Errorf("step one for %v: %w", groups[gi], err)
+			return
+		}
+		classes[gi], errs[gi] = groupClasses(groups[gi], res, tasks[gi], cfg)
 	})
 
 	ch := &Characterization{}
 	for gi, g := range groups {
 		if errs[gi] != nil {
-			return nil, fmt.Errorf("classify: step one for %v: %w", g, errs[gi])
+			return nil, fmt.Errorf("classify: %w", errs[gi])
 		}
-		if results[gi] == nil {
-			continue
-		}
-		if err := ch.addGroupClasses(g, results[gi], tasks[gi], cfg); err != nil {
-			return nil, err
+		for _, cls := range classes[gi] {
+			cls.ID = len(ch.Classes)
+			ch.byGroup[g.Index()] = append(ch.byGroup[g.Index()], cls.ID)
+			ch.Classes = append(ch.Classes, cls)
 		}
 	}
 	if len(ch.Classes) == 0 {
@@ -159,18 +164,26 @@ func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 	return ch, nil
 }
 
-func (ch *Characterization) addGroupClasses(
+// groupClasses turns one group's step-one clustering into its classes,
+// in cluster order and without IDs: per-class demand statistics and
+// quantiles, and the step-two short/long split of each class's durations.
+func groupClasses(
 	g trace.PriorityGroup,
 	res *kmeans.Result,
 	tasks []*trace.Task,
 	cfg Config,
-) error {
+) ([]Class, error) {
 	k := len(res.Centroids)
 	members := make([][]*trace.Task, k)
 	for i, t := range tasks {
 		c := res.Assignment[i]
 		members[c] = append(members[c], t)
 	}
+	probs := make([]float64, len(QuantileProbs))
+	for qi, prob := range QuantileProbs {
+		probs[qi] = prob * 100
+	}
+	var out []Class
 	for c := 0; c < k; c++ {
 		if len(members[c]) == 0 {
 			continue
@@ -184,7 +197,6 @@ func (ch *Characterization) addGroupClasses(
 			durs[i] = t.Duration
 		}
 		cls := Class{
-			ID:          len(ch.Classes),
 			Group:       g,
 			CPU:         stats.Mean(cpus),
 			Mem:         stats.Mean(mems),
@@ -193,23 +205,20 @@ func (ch *Characterization) addGroupClasses(
 			Count:       len(members[c]),
 			logCentroid: res.Centroids[c],
 		}
-		for qi, prob := range QuantileProbs {
-			cq, err := stats.Percentile(cpus, prob*100)
-			if err != nil {
-				return err
-			}
-			mq, err := stats.Percentile(mems, prob*100)
-			if err != nil {
-				return err
-			}
-			cls.CPUQuantiles[qi] = cq
-			cls.MemQuantiles[qi] = mq
+		cq, err := stats.Percentiles(cpus, probs)
+		if err != nil {
+			return nil, err
 		}
+		mq, err := stats.Percentiles(mems, probs)
+		if err != nil {
+			return nil, err
+		}
+		copy(cls.CPUQuantiles[:], cq)
+		copy(cls.MemQuantiles[:], mq)
 		cls.Sub = splitDurations(durs, cfg)
-		ch.byGroup[g.Index()] = append(ch.byGroup[g.Index()], cls.ID)
-		ch.Classes = append(ch.Classes, cls)
+		out = append(out, cls)
 	}
-	return nil
+	return out, nil
 }
 
 // splitDurations runs step two: k=2 clustering on log duration, returning

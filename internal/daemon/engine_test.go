@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"harmony/internal/classify"
+	"harmony/internal/core"
 	"harmony/internal/energy"
 	"harmony/internal/metrics"
+	"harmony/internal/sched"
 	"harmony/internal/trace"
 )
 
@@ -390,5 +392,53 @@ func TestReplayMatchesManualDrive(t *testing.T) {
 	b, _ := json.Marshal(manualPlan)
 	if string(a) != string(b) {
 		t.Errorf("replay and manual plans differ:\n%s\n%s", a, b)
+	}
+}
+
+// The headline configuration at seed 410 (12 h at 1.6 tasks/s against
+// Table II / 20, characterized with k ≤ 12 and a 5% elbow) once sent
+// tick 2's warm-started LP into a 45,149-pivot dual repair, ~23 s,
+// past harmonyd's tick deadline. The repair is now capped at m+n pivots
+// and falls back to the cold solve, so tick 2's plan costs no more
+// pivots than the LP has rows plus standard-form columns.
+func TestReplaySeed410RepairCapped(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping the seed-410 headline characterization in -short mode")
+	}
+	// Tick 2's CBS-RELAX LP: 320 rows, 976 columns in standard form
+	// (656 structural plus one slack per row).
+	const rowsPlusCols = 320 + 976
+	machines, models := testCluster(20)
+	gen := trace.DefaultConfig(410)
+	gen.Horizon = 12 * trace.Hour
+	gen.RatePerS = 1.6
+	gen.Machines = machines
+	tr, err := trace.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := classify.Characterize(tr, classify.Config{MaxK: 12, MinGain: 0.05, Seed: 410})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(Config{Machines: machines, Models: models, Char: ch, Mode: core.CBS,
+		PeriodSeconds: 300, Horizon: 2, Forecaster: sched.PredictARIMA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for k := 1; k <= 2; k++ {
+		for i < len(tr.Tasks) && tr.Tasks[i].Submit < float64(k)*300 {
+			if err := e.Ingest(tr.Tasks[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		if _, err := e.Tick(context.Background()); err != nil {
+			t.Fatalf("tick %d: %v", k, err)
+		}
+	}
+	if got := e.policy.LastDecision().Plan.Iterations; got > rowsPlusCols {
+		t.Errorf("tick 2 spent %d pivots, more than the LP's m+n = %d", got, rowsPlusCols)
 	}
 }

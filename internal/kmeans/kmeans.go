@@ -6,6 +6,7 @@
 package kmeans
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -51,12 +52,94 @@ func Run(points []Point, cfg Config) (*Result, error) {
 	if cfg.K < 1 || cfg.K > len(points) {
 		return nil, fmt.Errorf("%w: k=%d, n=%d", ErrBadK, cfg.K, len(points))
 	}
+	ps, err := newPointSet(points)
+	if err != nil {
+		return nil, err
+	}
+	return ps.cluster(cfg), nil
+}
+
+// pointSet is an input point set with its distinct points indexed. The
+// tasks of a job share one resource request, so a priority group's
+// (log CPU, log Mem) points repeat heavily; identical points always get
+// identical distances, bounds and assignments, so the distance work runs
+// once per distinct point. Everything whose floating-point summation
+// order decides the result — member sums, the k-means++ draw, SSE —
+// still walks every point in input order.
+type pointSet struct {
+	points   []Point // every input point, in input order
+	distinct []Point // the distinct points, in first-occurrence order
+	runs     []run   // each input point's distinct index, run-length encoded
+}
+
+// run is a maximal stretch of consecutive input points that are all
+// copies of distinct[of]: a job's tasks arrive together.
+type run struct{ of, n int }
+
+// addN returns s with v added n times, one addition after another: the
+// rounding of adding v once per point of a run.
+func addN(s, v float64, n int) float64 {
+	for ; n > 0; n-- {
+		s += v
+	}
+	return s
+}
+
+// newPointSet checks that the non-empty points share one dimension and
+// indexes them by their exact float64 bits, so two points share an entry
+// only if every coordinate has the same bit pattern.
+func newPointSet(points []Point) (*pointSet, error) {
 	dim := len(points[0])
+	ps := &pointSet{points: points}
+	seen := make(map[bitsKey]int)
 	for _, p := range points {
 		if len(p) != dim {
 			return nil, ErrDimMismatch
 		}
+		key := keyOf(p)
+		u, ok := seen[key]
+		if !ok {
+			u = len(ps.distinct)
+			seen[key] = u
+			ps.distinct = append(ps.distinct, p)
+		}
+		if last := len(ps.runs) - 1; last >= 0 && ps.runs[last].of == u {
+			ps.runs[last].n++
+		} else {
+			ps.runs = append(ps.runs, run{of: u, n: 1})
+		}
 	}
+	return ps, nil
+}
+
+// bitsKey is a point's exact bit pattern as a map key: the first two
+// coordinates inline (the characterization's points have one or two),
+// any further ones packed into rest.
+type bitsKey struct {
+	x0, x1 uint64
+	rest   string
+}
+
+func keyOf(p Point) bitsKey {
+	var k bitsKey
+	if len(p) > 0 {
+		k.x0 = math.Float64bits(p[0])
+	}
+	if len(p) > 1 {
+		k.x1 = math.Float64bits(p[1])
+	}
+	if len(p) > 2 {
+		rest := make([]byte, 8*(len(p)-2))
+		for d, v := range p[2:] {
+			binary.LittleEndian.PutUint64(rest[8*d:], math.Float64bits(v))
+		}
+		k.rest = string(rest)
+	}
+	return k
+}
+
+// cluster is Run over an indexed point set; cfg.K is already valid.
+func (ps *pointSet) cluster(cfg Config) *Result {
 	if cfg.MaxIter <= 0 {
 		cfg.MaxIter = 100
 	}
@@ -70,11 +153,11 @@ func Run(points []Point, cfg Config) (*Result, error) {
 	r := stats.NewRNG(cfg.Seed)
 	seeds := make([][]Point, cfg.Restarts)
 	for a := range seeds {
-		seeds[a] = seedPlusPlus(points, cfg.K, r)
+		seeds[a] = ps.seedPlusPlus(cfg.K, r)
 	}
 	results := make([]*Result, cfg.Restarts)
 	fanout.Each(cfg.Restarts, func(a int) {
-		results[a] = lloyd(points, seeds[a], cfg.MaxIter)
+		results[a] = ps.lloyd(seeds[a], cfg.MaxIter)
 	})
 	best := results[0]
 	for _, res := range results[1:] {
@@ -82,47 +165,54 @@ func Run(points []Point, cfg Config) (*Result, error) {
 			best = res
 		}
 	}
-	return best, nil
+	return best
 }
 
 // seedPlusPlus picks k initial centroids with the k-means++ strategy:
 // each next centroid is drawn with probability proportional to its squared
-// distance from the nearest already-chosen centroid.
-func seedPlusPlus(points []Point, k int, r *stats.RNG) []Point {
+// distance from the nearest already-chosen centroid. Distances are kept
+// per distinct point; the draws, the total and the cumulative scan are
+// over every point in input order.
+func (ps *pointSet) seedPlusPlus(k int, r *stats.RNG) []Point {
+	points, n := ps.points, len(ps.points)
 	centroids := make([]Point, 0, k)
-	first := points[r.Intn(len(points))]
+	first := points[r.Intn(n)]
 	centroids = append(centroids, clonePoint(first))
 
-	d2 := make([]float64, len(points))
-	for i, p := range points {
-		d2[i] = sqDist(p, centroids[0])
+	d2 := make([]float64, len(ps.distinct))
+	for u, p := range ps.distinct {
+		d2[u] = sqDist(p, centroids[0])
 	}
 	for len(centroids) < k {
 		total := 0.0
-		for _, d := range d2 {
-			total += d
+		for _, rn := range ps.runs {
+			total = addN(total, d2[rn.of], rn.n)
 		}
 		var next Point
 		if total == 0 {
 			// All points coincide with existing centroids; pick any.
-			next = points[r.Intn(len(points))]
+			next = points[r.Intn(n)]
 		} else {
-			u := r.Float64() * total
+			x := r.Float64() * total
 			acc := 0.0
-			idx := len(points) - 1
-			for i, d := range d2 {
-				acc += d
-				if u < acc {
-					idx = i
-					break
+			idx, i := n-1, 0
+		draw:
+			for _, rn := range ps.runs {
+				for j := 0; j < rn.n; j++ {
+					acc += d2[rn.of]
+					if x < acc {
+						idx = i + j
+						break draw
+					}
 				}
+				i += rn.n
 			}
 			next = points[idx]
 		}
 		centroids = append(centroids, clonePoint(next))
-		for i, p := range points {
-			if d := sqDist(p, next); d < d2[i] {
-				d2[i] = d
+		for u, p := range ps.distinct {
+			if d := sqDist(p, next); d < d2[u] {
+				d2[u] = d
 			}
 		}
 	}
@@ -146,58 +236,75 @@ const (
 // bound pruning ("Making k-means even faster", SDM 2010): a point whose
 // bounds prove it is still nearest to its centroid skips the scan, and
 // every other point is scanned in full with the plain strict-<,
-// lowest-index rule. Assignments, centroids, SSE and Iterations are
-// therefore bit-identical to plain Lloyd's: the centroid update is the
-// same in-order summation, and empty clusters keep their position.
-func lloyd(points []Point, centroids []Point, maxIter int) *Result {
-	n, k, dim := len(points), len(centroids), len(points[0])
+// lowest-index rule. Bounds and assignments are kept per distinct point,
+// which is exact: identical points see identical arithmetic. Assignments,
+// centroids, SSE and Iterations are therefore bit-identical to plain
+// Lloyd's: the centroid update is the same summation over every point in
+// input order, and empty clusters keep their position.
+func (ps *pointSet) lloyd(centroids []Point, maxIter int) *Result {
+	u, k, dim := len(ps.distinct), len(centroids), len(ps.points[0])
 	h := &hamerly{
-		assign: make([]int, n),
-		upper:  make([]float64, n),
-		lower:  make([]float64, n),
+		assign: make([]int, u),
+		upper:  make([]float64, u),
+		lower:  make([]float64, u),
 		half:   make([]float64, k),
 		moved:  make([]float64, k),
 		sums:   make([]float64, k*dim),
 		counts: make([]int, k),
+		dirty:  make([]bool, k),
+	}
+	for c := range h.dirty {
+		h.dirty[c] = true // the first pass forms every cluster
 	}
 
 	iter := 0
 	for ; iter < maxIter; iter++ {
 		// Plain Lloyd starts unassigned, so its first iteration scans
 		// every point and always changes something.
-		clear(h.sums)
-		clear(h.counts)
 		if iter == 0 {
-			h.scanAll(points, centroids)
-		} else if !h.reassign(points, centroids) {
+			h.scanAll(ps.distinct, centroids)
+		} else if !h.reassign(ps.distinct, centroids) {
 			break
 		}
+		h.accumulate(ps)
 		h.update(centroids)
 	}
 
+	// SSE sums each point's squared distance in input order; identical
+	// points contribute identical terms, computed once.
+	d2 := make([]float64, u)
+	for v, p := range ps.distinct {
+		d2[v] = sqDist(p, centroids[h.assign[v]])
+	}
 	sse := 0.0
-	for i, p := range points {
-		sse += sqDist(p, centroids[h.assign[i]])
+	assignment := make([]int, 0, len(ps.points))
+	for _, rn := range ps.runs {
+		sse = addN(sse, d2[rn.of], rn.n)
+		for j := 0; j < rn.n; j++ {
+			assignment = append(assignment, h.assign[rn.of])
+		}
 	}
 	return &Result{
 		Centroids:  centroids,
-		Assignment: h.assign,
+		Assignment: assignment,
 		SSE:        sse,
 		Iterations: iter,
 	}
 }
 
-// hamerly is lloyd's state. For point i assigned to centroid a,
-// upper[i] ≥ d(x_i, a) and lower[i] ≤ d(x_i, c) for every c ≠ a; for
+// hamerly is lloyd's state. For distinct point x assigned to centroid a,
+// upper[x] ≥ d(x, a) and lower[x] ≤ d(x, c) for every c ≠ a; for
 // centroid c, half[c] ≤ half the distance to its nearest other centroid
 // and moved[c] ≥ the distance it moved in the last update. sums and
-// counts are the member sums of the assignment pass in progress.
+// counts are the member sums of the last assignment pass; dirty marks
+// the clusters whose members that pass changed.
 type hamerly struct {
-	assign       []int
+	assign       []int // per distinct point
 	upper, lower []float64
 	half, moved  []float64
 	sums         []float64 // k×dim, row c is cluster c
 	counts       []int
+	dirty        []bool
 }
 
 // scanAll assigns every point by full scan and sets its bounds exactly.
@@ -207,7 +314,6 @@ func (h *hamerly) scanAll(points, centroids []Point) {
 		h.assign[i] = c
 		h.upper[i] = roundUp(math.Sqrt(d1))
 		h.lower[i] = roundDown(math.Sqrt(d2))
-		h.accumulate(c, p)
 	}
 }
 
@@ -261,31 +367,53 @@ func (h *hamerly) reassign(points, centroids []Point) bool {
 				upper[i] = roundUp(math.Sqrt(d1))
 				lower[i] = roundDown(math.Sqrt(d2))
 				if c != a {
-					assign[i], a = c, c
+					assign[i] = c
+					h.dirty[a], h.dirty[c] = true, true
 					changed = true
 				}
 			}
 		}
-		h.accumulate(a, p)
 	}
 	return changed
 }
 
-// accumulate adds p to cluster c's member sum. The assignment passes
-// call it in point order, so each sum is the plain update's summation.
-func (h *hamerly) accumulate(c int, p Point) {
-	h.counts[c]++
-	row := h.sums[c*len(p):][:len(p)]
-	for d, v := range p {
-		row[d] += v
+// accumulate recomputes the member sum and count of every dirty cluster,
+// adding its points in input order so each sum is the plain update's
+// summation. A clean cluster has the same members in the same order, so
+// its kept sum is the one those additions would produce.
+func (h *hamerly) accumulate(ps *pointSet) {
+	dim := len(ps.points[0])
+	for c, dirty := range h.dirty {
+		if dirty {
+			clear(h.sums[c*dim:][:dim])
+			h.counts[c] = 0
+		}
+	}
+	for _, rn := range ps.runs {
+		c := h.assign[rn.of]
+		if !h.dirty[c] {
+			continue
+		}
+		p := ps.distinct[rn.of]
+		h.counts[c] += rn.n
+		row := h.sums[c*len(p):][:len(p)]
+		for d, v := range p {
+			row[d] = addN(row[d], v, rn.n)
+		}
 	}
 }
 
-// update moves every non-empty cluster's centroid to its members' mean
-// and records how far it moved; empty clusters keep their position.
+// update moves every non-empty dirty cluster's centroid to its members'
+// mean and records how far it moved, then marks every cluster clean. A
+// clean cluster's mean is its current centroid, so it moves 0; empty
+// clusters keep their position.
 func (h *hamerly) update(centroids []Point) {
 	for c, cen := range centroids {
 		h.moved[c] = 0
+		if !h.dirty[c] {
+			continue
+		}
+		h.dirty[c] = false
 		if h.counts[c] == 0 {
 			continue
 		}
@@ -396,13 +524,21 @@ func (r *Result) ClusterStats(points []Point) (means, stddevs []Point) {
 // ChooseK runs Run for k = 1..maxK and returns the smallest k past the
 // "elbow": the first k whose relative SSE improvement over k-1 drops below
 // minGain (e.g. 0.1 for 10%). This mirrors the paper's "no significant
-// benefit from increasing k" selection rule.
+// benefit from increasing k" selection rule. The distinct-point index is
+// built once and shared by every k.
 func ChooseK(points []Point, maxK int, minGain float64, cfg Config) (int, *Result, error) {
 	if maxK < 1 {
 		return 0, nil, ErrBadK
 	}
 	if maxK > len(points) {
 		maxK = len(points)
+	}
+	if maxK == 0 {
+		return 0, nil, nil // no points, no clusters
+	}
+	ps, err := newPointSet(points)
+	if err != nil {
+		return 0, nil, err
 	}
 	var (
 		prevSSE float64
@@ -411,10 +547,7 @@ func ChooseK(points []Point, maxK int, minGain float64, cfg Config) (int, *Resul
 	for k := 1; k <= maxK; k++ {
 		c := cfg
 		c.K = k
-		res, err := Run(points, c)
-		if err != nil {
-			return 0, nil, err
-		}
+		res := ps.cluster(c)
 		if k > 1 {
 			gain := 0.0
 			if prevSSE > 0 {

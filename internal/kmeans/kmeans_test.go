@@ -309,6 +309,60 @@ func oracleLloyd(points []Point, centroids []Point, maxIter int) *Result {
 	}
 }
 
+// oracleSeedPlusPlus is plain k-means++ seeding, every distance computed
+// per point: the reference for pointSet.seedPlusPlus, which must draw
+// from r exactly as it does.
+func oracleSeedPlusPlus(points []Point, k int, r *stats.RNG) []Point {
+	centroids := make([]Point, 0, k)
+	first := points[r.Intn(len(points))]
+	centroids = append(centroids, clonePoint(first))
+
+	d2 := make([]float64, len(points))
+	for i, p := range points {
+		d2[i] = sqDist(p, centroids[0])
+	}
+	for len(centroids) < k {
+		total := 0.0
+		for _, d := range d2 {
+			total += d
+		}
+		var next Point
+		if total == 0 {
+			// All points coincide with existing centroids; pick any.
+			next = points[r.Intn(len(points))]
+		} else {
+			u := r.Float64() * total
+			acc := 0.0
+			idx := len(points) - 1
+			for i, d := range d2 {
+				acc += d
+				if u < acc {
+					idx = i
+					break
+				}
+			}
+			next = points[idx]
+		}
+		centroids = append(centroids, clonePoint(next))
+		for i, p := range points {
+			if d := sqDist(p, next); d < d2[i] {
+				d2[i] = d
+			}
+		}
+	}
+	return centroids
+}
+
+// prunedLloyd runs the pruned, distinct-point lloyd under test.
+func prunedLloyd(t testing.TB, points, centroids []Point, maxIter int) *Result {
+	t.Helper()
+	ps, err := newPointSet(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps.lloyd(centroids, maxIter)
+}
+
 // oracleRun is Run as it was before pruning and concurrency: restarts
 // run one after another, each seeded and then iterated by oracleLloyd.
 func oracleRun(points []Point, cfg Config) *Result {
@@ -321,7 +375,7 @@ func oracleRun(points []Point, cfg Config) *Result {
 	r := stats.NewRNG(cfg.Seed)
 	var best *Result
 	for attempt := 0; attempt < cfg.Restarts; attempt++ {
-		res := oracleLloyd(points, seedPlusPlus(points, cfg.K, r), cfg.MaxIter)
+		res := oracleLloyd(points, oracleSeedPlusPlus(points, cfg.K, r), cfg.MaxIter)
 		if best == nil || res.SSE < best.SSE {
 			best = res
 		}
@@ -437,7 +491,7 @@ func TestLloydMatchesOracle(t *testing.T) {
 			}
 			maxIter := 1 + r.Intn(30)
 			want := oracleLloyd(pts, clonePoints(start), maxIter)
-			got := lloyd(pts, clonePoints(start), maxIter)
+			got := prunedLloyd(t, pts, clonePoints(start), maxIter)
 			if diff := sameResult(got, want); diff != "" {
 				t.Fatalf("trial %d (n=%d dim=%d grid=%d k=%d maxIter=%d): %s",
 					trial, n, dim, grid, k, maxIter, diff)
@@ -480,7 +534,7 @@ func TestLloydEquidistantTies(t *testing.T) {
 		{{2}, {2}, {2}},
 	} {
 		want := oracleLloyd(pts, clonePoints(start), 50)
-		got := lloyd(pts, clonePoints(start), 50)
+		got := prunedLloyd(t, pts, clonePoints(start), 50)
 		if diff := sameResult(got, want); diff != "" {
 			t.Errorf("start %v: %s", start, diff)
 		}
@@ -568,5 +622,122 @@ func TestChooseKMatchesOracleOnHeadlineGroups(t *testing.T) {
 		if diff := sameResult(res, want); diff != "" {
 			t.Fatalf("group %d (%d points): %s", g, len(pts), diff)
 		}
+	}
+}
+
+// jobPoints draws n points the way a trace's tasks arrive: in jobs that
+// share one point, with up to `active` jobs open at once so their runs
+// interleave, and with points drawn from a small grid so unrelated jobs
+// can repeat a point too.
+func jobPoints(r *rand.Rand, n, dim, active, grid int) []Point {
+	open := make([]Point, active)
+	left := make([]int, active)
+	pts := make([]Point, 0, n)
+	for len(pts) < n {
+		j := r.Intn(active)
+		if left[j] == 0 {
+			open[j] = randomPoints(r, 1, dim, grid)[0]
+			left[j] = 1 + r.Intn(20)
+		}
+		left[j]--
+		pts = append(pts, clonePoint(open[j]))
+	}
+	return pts
+}
+
+// The index keeps one entry per distinct bit pattern in first-occurrence
+// order, and its runs spell out the input in order.
+func TestPointSetIndex(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	pts := []Point{{1, 2}, {1, 2}, {3, 4}, {1, 2}, {0, 0}, {negZero, 0}, {3, 4}, {3, 4}}
+	ps, err := newPointSet(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDistinct := []Point{{1, 2}, {3, 4}, {0, 0}, {negZero, 0}}
+	if len(ps.distinct) != len(wantDistinct) {
+		t.Fatalf("%d distinct points, want %d", len(ps.distinct), len(wantDistinct))
+	}
+	for u, p := range wantDistinct {
+		if keyOf(ps.distinct[u]) != keyOf(p) {
+			t.Errorf("distinct[%d] = %v, want %v", u, ps.distinct[u], p)
+		}
+	}
+	wantRuns := []run{{0, 2}, {1, 1}, {0, 1}, {2, 1}, {3, 1}, {1, 2}}
+	if fmt.Sprint(ps.runs) != fmt.Sprint(wantRuns) {
+		t.Errorf("runs = %v, want %v", ps.runs, wantRuns)
+	}
+	if _, err := newPointSet([]Point{{1, 2}, {1}}); err == nil {
+		t.Error("dimension mismatch accepted")
+	}
+	wide := []Point{{1, 2, 3}, {1, 2, 4}, {1, 2, 3}}
+	if ps, _ := newPointSet(wide); len(ps.distinct) != 2 {
+		t.Errorf("3-D points: %d distinct, want 2", len(ps.distinct))
+	}
+}
+
+// Property: on job-structured inputs — runs of repeats interleaved across
+// jobs, points shared by unrelated jobs, all-identical sets, and k above
+// the distinct count, where k-means++ finds every point already chosen —
+// lloyd, Run and ChooseK equal the per-point oracle bit for bit, in 1-D
+// and 2-D.
+func TestDuplicateHeavyMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	aboveDistinct := 0
+	for trial := 0; trial < 150; trial++ {
+		dim := 1 + trial%2
+		n := 2 + r.Intn(300)
+		var pts []Point
+		if trial%5 == 0 {
+			p := randomPoints(r, 1, dim, 0)[0]
+			for range n {
+				pts = append(pts, clonePoint(p))
+			}
+		} else {
+			pts = jobPoints(r, n, dim, 1+r.Intn(4), []int{0, 3, 8}[trial%3])
+		}
+		ps, err := newPointSet(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := len(ps.distinct)
+
+		k := 1 + r.Intn(min(n, distinct+3))
+		if k > distinct {
+			aboveDistinct++
+		}
+		start := make([]Point, k)
+		for c := range start {
+			start[c] = clonePoint(pts[r.Intn(n)])
+		}
+		maxIter := 1 + r.Intn(40)
+		if diff := sameResult(ps.lloyd(clonePoints(start), maxIter), oracleLloyd(pts, clonePoints(start), maxIter)); diff != "" {
+			t.Fatalf("trial %d lloyd(n=%d distinct=%d k=%d): %s", trial, n, distinct, k, diff)
+		}
+
+		cfg := Config{K: k, Seed: int64(trial), Restarts: 1 + r.Intn(4), MaxIter: 1 + r.Intn(60)}
+		got, err := Run(pts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameResult(got, oracleRun(pts, cfg)); diff != "" {
+			t.Fatalf("trial %d Run(n=%d distinct=%d k=%d): %s", trial, n, distinct, k, diff)
+		}
+
+		maxK := 1 + r.Intn(min(n, distinct+3))
+		gotK, res, err := ChooseK(pts, maxK, 0.05, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantK, want := oracleChooseK(pts, maxK, 0.05, cfg)
+		if gotK != wantK {
+			t.Fatalf("trial %d ChooseK = %d, oracle %d", trial, gotK, wantK)
+		}
+		if diff := sameResult(res, want); diff != "" {
+			t.Fatalf("trial %d ChooseK(k=%d): %s", trial, gotK, diff)
+		}
+	}
+	if aboveDistinct == 0 {
+		t.Error("no trial drew k above the distinct count; the corpus does not cover k-means++'s total == 0 branch")
 	}
 }

@@ -618,7 +618,8 @@ func (sv *sparseSolver) btranRow(r int) {
 // objective (it was just re-optimized against the old RHS) and
 // artificial-free. Any anomaly — dual unboundedness (an infeasibility
 // proof the caller re-derives with a cold solve), a vanishing pivot,
-// the iteration cap — bails with errWarmRepair instead of guessing.
+// more than maxIter pivots — bails with errWarmRepair instead of
+// guessing.
 //
 // Reduced costs are priced once and then updated incrementally across
 // pivots (rc_j ← rc_j − θ_d·w_j). Drift in them cannot corrupt the
@@ -627,8 +628,7 @@ func (sv *sparseSolver) btranRow(r int) {
 // re-prices from scratch — stale rc only risks a longer path.
 //
 //harmony:hotpath
-func (sv *sparseSolver) runDual() error {
-	maxIter := 500 * (sv.m + sv.n + 10)
+func (sv *sparseSolver) runDual(maxIter int) error {
 	rc := make([]float64, sv.n)   //harmony:allow hotpathalloc per-solve pricing vector, not per-pivot
 	wrow := make([]float64, sv.n) //harmony:allow hotpathalloc per-solve pricing vector, not per-pivot
 	sv.computeDuals()
@@ -642,7 +642,7 @@ func (sv *sparseSolver) runDual() error {
 		}
 		rc[j] = r
 	}
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; ; iter++ {
 		// Leaving row: most negative basic value.
 		r, worst := -1, -1e-7
 		for i, v := range sv.xB {
@@ -652,6 +652,9 @@ func (sv *sparseSolver) runDual() error {
 		}
 		if r < 0 {
 			return nil // primal feasible again
+		}
+		if iter == maxIter {
+			return errWarmRepair
 		}
 		sv.btranRow(r)
 		// Entering column: dual ratio test over columns that can absorb
@@ -701,7 +704,6 @@ func (sv *sparseSolver) runDual() error {
 		sv.iters++
 		sv.pivot(r, enter)
 	}
-	return errWarmRepair
 }
 
 func (sv *sparseSolver) run() error {
@@ -762,13 +764,13 @@ func (sv *sparseSolver) captureBasis() *Basis {
 //  2. still primal feasible → plain primal simplex,
 //  3. infeasible under the new RHS → re-optimize against the OLD RHS
 //     (primal, absorbs the objective drift, usually 0 pivots), then
-//     dual simplex to walk the RHS change back to feasibility, then a
-//     final primal cleanup.
+//     dual simplex to walk the RHS change back to feasibility, capped
+//     at repairCap pivots, then a final primal cleanup.
 //
 // finished=false means the solver must be restarted cold; any verdict
 // returned with finished=true was reached from a feasible start and is
 // therefore trustworthy.
-func (sv *sparseSolver) tryWarm(warm *Basis) (finished bool, err error) {
+func (sv *sparseSolver) tryWarm(warm *Basis, repairCap int) (finished bool, err error) {
 	ok, feasible := sv.startWarm(warm)
 	if !ok {
 		return false, nil
@@ -798,7 +800,7 @@ func (sv *sparseSolver) tryWarm(warm *Basis) (finished bool, err error) {
 		return false, nil
 	}
 	sv.refactor() // fold etas and recompute xB under the NEW RHS
-	if e := sv.runDual(); e != nil {
+	if e := sv.runDual(repairCap); e != nil {
 		return false, nil
 	}
 	if e := sv.run(); e != nil { // phase C: usually 0 pivots
@@ -823,13 +825,27 @@ func Solve(p *Problem) (*Solution, error) {
 // back to a cold solve; the answer is optimal either way, so callers can
 // thread the returned Basis through a solve sequence unconditionally.
 func SolveWarm(p *Problem, warm *Basis) (*Solution, *Basis, error) {
+	return solveWarm(p, warm, repairCap)
+}
+
+// repairCap caps the warm start's dual-simplex repair of a standard-form
+// problem with m rows and n columns at m+n pivots. A repair is a walk
+// back to feasibility after an RHS drift and normally takes a few
+// hundred pivots on the headline LP; a path that runs on past m+n is
+// cheaper to abandon for the cold solve than to follow (one headline
+// tick took 45k dual pivots, ~23 s, against a ~10 ms cold solve).
+func repairCap(m, n int) int { return m + n }
+
+// solveWarm is SolveWarm with the dual repair capped at capOf(m, n)
+// pivots for the standard-form problem's m rows and n columns.
+func solveWarm(p *Problem, warm *Basis, capOf func(m, n int) int) (*Solution, *Basis, error) {
 	if err := p.validate(); err != nil {
 		return nil, nil, err
 	}
 	s := standardize(p)
 	if warm != nil {
 		sv := newSparseSolver(s)
-		if finished, err := sv.tryWarm(warm); finished {
+		if finished, err := sv.tryWarm(warm, capOf(s.m, s.n)); finished {
 			if err != nil {
 				return nil, nil, err
 			}

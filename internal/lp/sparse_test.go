@@ -176,6 +176,76 @@ func TestSolveWarmMatchesCold(t *testing.T) {
 	t.Logf("pivots: cold=%d warm=%d (periods 1..19)", coldIters, warmIters)
 }
 
+// TestSolveWarmCappedRepairReturnsCold drifts the RHS of an MPC-shaped
+// LP until the previous basis goes infeasible, so the warm start needs
+// the dual-simplex repair, which finishes warm under the default cap. A
+// repair stopped by its pivot cap abandons the warm start, and the
+// answer is then exactly the cold solve's: the same X, objective and
+// pivot count, bit for bit.
+func TestSolveWarmCappedRepairReturnsCold(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	base := &Problem{NumVars: 8, Objective: make([]float64, 8)}
+	for j := range base.Objective {
+		base.Objective[j] = 1 + r.Float64()
+	}
+	for i := 0; i < 10; i++ {
+		coeffs := make([]float64, base.NumVars)
+		for j := range coeffs {
+			if r.Float64() < 0.6 {
+				coeffs[j] = r.Float64() * 2
+			}
+		}
+		base.AddConstraint(coeffs, LE, 5+r.Float64()*10)
+	}
+	noRepair := func(m, n int) int { return 0 }
+	var basis *Basis
+	repaired := 0
+	for period := 0; period < 40; period++ {
+		p := &Problem{NumVars: base.NumVars, Objective: base.Objective}
+		for _, c := range base.Constraints {
+			p.AddConstraint(c.Coeffs, c.Sense, c.RHS*(0.5+r.Float64()))
+		}
+		if basis != nil {
+			sv := newSparseSolver(standardize(p))
+			if ok, feasible := sv.startWarm(basis); ok && !feasible {
+				repaired++
+				if finished, _ := newSparseSolver(standardize(p)).tryWarm(basis, repairCap(sv.m, sv.n)); !finished {
+					t.Fatalf("period %d: the repair under the default cap did not finish warm", period)
+				}
+				if finished, _ := newSparseSolver(standardize(p)).tryWarm(basis, 0); finished {
+					t.Fatalf("period %d: a repair capped at 0 pivots finished warm", period)
+				}
+				cold, err := Solve(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				capped, _, err := solveWarm(p, basis, noRepair)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if capped.Iterations != cold.Iterations ||
+					math.Float64bits(capped.Objective) != math.Float64bits(cold.Objective) {
+					t.Fatalf("period %d: capped repair gave objective %v in %d pivots, cold %v in %d",
+						period, capped.Objective, capped.Iterations, cold.Objective, cold.Iterations)
+				}
+				for j := range cold.X {
+					if math.Float64bits(capped.X[j]) != math.Float64bits(cold.X[j]) {
+						t.Fatalf("period %d: capped repair x[%d] = %v, cold %v", period, j, capped.X[j], cold.X[j])
+					}
+				}
+			}
+		}
+		_, next, err := SolveWarm(p, basis)
+		if err != nil {
+			t.Fatalf("period %d: %v", period, err)
+		}
+		basis = next
+	}
+	if repaired == 0 {
+		t.Fatal("no period left the previous basis infeasible; the repair path was never reached")
+	}
+}
+
 // TestSolveWarmBasisReusable verifies a Basis survives being used for
 // several solves (SolveWarm must not mutate its argument).
 func TestSolveWarmBasisReusable(t *testing.T) {

@@ -127,26 +127,48 @@ func SquaredCV(xs []float64) float64 {
 // interpolation between closest ranks. It returns an error on empty input
 // or p outside [0,100].
 func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
+	qs, err := Percentiles(xs, []float64{p})
+	if err != nil {
+		return 0, err
 	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of [0,100]")
+	return qs[0], nil
+}
+
+// Percentiles returns the ps[i]-th percentile of xs for every i, each
+// equal to Percentile(xs, ps[i]), sorting one copy of xs once. xs is not
+// modified.
+func Percentiles(xs []float64, ps []float64) ([]float64, error) {
+	if len(xs) == 0 {
+		return nil, ErrEmpty
+	}
+	for _, p := range ps {
+		if p < 0 || p > 100 {
+			return nil, errors.New("stats: percentile out of [0,100]")
+		}
 	}
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
+	qs := make([]float64, len(ps))
+	for i, p := range ps {
+		qs[i] = sortedPercentile(sorted, p)
+	}
+	return qs, nil
+}
+
+// sortedPercentile is the p-th percentile of non-empty ascending data.
+func sortedPercentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
-		return sorted[0], nil
+		return sorted[0]
 	}
 	rank := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return sorted[lo], nil
+		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Median returns the 50th percentile of xs.

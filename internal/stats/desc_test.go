@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -111,6 +112,52 @@ func TestPercentile(t *testing.T) {
 	}
 	if _, err := Percentile(xs, 101); err == nil {
 		t.Error("Percentile(101) should error")
+	}
+}
+
+// Percentiles sorts once but must return, for every p, the very bits
+// Percentile returns, including the one-point and p = 0 / 100 edges, and
+// leave its input unsorted.
+func TestPercentilesMatchPercentile(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	ps := []float64{0, 0.5, 25, 33.3, 50, 80, 90, 95, 99, 99.99, 100}
+	for _, n := range []int{1, 2, 3, 7, 100, 1001} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Exp(4 * r.NormFloat64())
+		}
+		orig := append([]float64(nil), xs...)
+		got, err := Percentiles(xs, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range ps {
+			want, err := Percentile(xs, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Errorf("n=%d p=%v: Percentiles %v, Percentile %v", n, p, got[i], want)
+			}
+		}
+		for i := range xs {
+			if xs[i] != orig[i] {
+				t.Fatalf("n=%d: Percentiles reordered its input", n)
+			}
+		}
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, x := range xs {
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
+		}
+		if got[0] != lo || got[len(ps)-1] != hi {
+			t.Errorf("n=%d: p0 = %v, p100 = %v; want min %v, max %v", n, got[0], got[len(ps)-1], lo, hi)
+		}
+	}
+	if _, err := Percentiles(nil, ps); err == nil {
+		t.Error("Percentiles(empty) should error")
+	}
+	if _, err := Percentiles([]float64{1}, []float64{50, 101}); err == nil {
+		t.Error("Percentiles with p = 101 should error")
 	}
 }
 
